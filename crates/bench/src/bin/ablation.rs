@@ -1,4 +1,4 @@
-//! Ablations of HetPipe's design choices (DESIGN.md section 4):
+//! Ablations of HetPipe's design choices:
 //!
 //! 1. **Partitioner** — the min–max DP vs an equal-layer-count split
 //!    vs the greedy binary-search variant (planned bottleneck and

@@ -1,7 +1,7 @@
 //! Figure 5: ResNet-152 top-1 accuracy vs wall-clock time — Horovod
 //! (12 GPUs) vs HetPipe (12 GPUs) vs HetPipe (16 GPUs), D = 0.
 //!
-//! Composition methodology (see DESIGN.md): the discrete-event
+//! Composition methodology: the discrete-event
 //! simulator provides *updates per second* for each configuration on
 //! the simulated testbed; the real threaded trainer provides *accuracy
 //! per update* under the same synchronization semantics (BSP with 12

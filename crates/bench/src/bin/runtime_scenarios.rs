@@ -27,11 +27,10 @@
 
 use hetpipe_bench::print_table;
 use hetpipe_cluster::{Cluster, DeviceId, GpuKind};
-use hetpipe_core::exec::{self, ExecParams};
+use hetpipe_core::exec::{self, trace_fingerprint, ExecParams};
 use hetpipe_core::pserver::{Placement, ShardMap};
 use hetpipe_core::{RecomputePolicy, Schedule, VirtualWorker, WspParams};
 use hetpipe_des::SimTime;
-use hetpipe_fleet::trace_fingerprint;
 use hetpipe_partition::{PartitionProblem, PartitionSolver};
 use hetpipe_runtime::{self as runtime, MonitorConfig, Policy, RuntimeParams, ScenarioScript};
 

@@ -1,9 +1,9 @@
 //! Shared utilities for the experiment harnesses.
 //!
-//! Every binary in this crate regenerates one table or figure of the
-//! paper (see DESIGN.md's per-experiment index) and prints a
-//! human-readable table plus, when `--json <path>` is given, a
-//! machine-readable JSON dump recorded in EXPERIMENTS.md.
+//! Every experiment binary in this crate regenerates one table or
+//! figure of the paper (each bin's module doc names it and the shape
+//! the paper reports) and prints a human-readable table plus, when
+//! `--json <path>` is given, a machine-readable JSON dump.
 
 use hetpipe_cluster::{Cluster, DeviceId, GpuKind};
 use hetpipe_core::{AllocationPolicy, HetPipeSystem, Placement, SystemConfig, SystemReport};

@@ -11,7 +11,9 @@
 //!   inverse-effective-bandwidth slope.
 //!
 //! The constants below are fitted so that the end-to-end harnesses
-//! reproduce the paper's measured throughputs (see EXPERIMENTS.md).
+//! reproduce the paper's measured throughputs (the `fig3` and `table4`
+//! bins in `hetpipe-bench` print them next to the paper's expected
+//! shape).
 
 use crate::node::Cluster;
 use crate::topology::DeviceId;

@@ -30,7 +30,12 @@
 //!   wave schedule and the explicit [`ScheduleOp::PullGate`] op for
 //!   stream-order schedules. Consecutive waves' push transfers run
 //!   concurrently (per-wave chunk counters), contending on the NIC
-//!   timelines rather than being serialized behind one another.
+//!   timelines rather than being serialized behind one another. The
+//!   pull-serve scan over every VW's push clock, run inside this one
+//!   event loop, is the only cross-VW coupling in the simulation —
+//!   the PS push→gate edge that `hetpipe-verify`'s isolation pass
+//!   certifies as the sole cross-VW dependency of the committed
+//!   schedules.
 //! - **Enforced activation windows**: each stage's declared peak
 //!   activation occupancy ([`PipelineSchedule::max_in_flight`] — the
 //!   same number the memory model charges and the partitioner
@@ -60,11 +65,11 @@
 //! traces exactly.
 
 use crate::pserver::{ShardMap, SyncChunk};
-use crate::sync::{GateBus, ServePoll, WspParams};
+use crate::sync::WspParams;
 use crate::vw::VirtualWorker;
 use hetpipe_cluster::network::LinkKind;
 use hetpipe_cluster::{Cluster, NodeId};
-use hetpipe_des::{Engine, Resource, ResourceId, ResourcePool, SimTime, Trace};
+use hetpipe_des::{Engine, Resource, ResourceId, ResourcePool, SimTime, Span, Trace};
 use hetpipe_model::profile::{pass_time_secs, Pass, STAGE_TASK_OVERHEAD_SECS};
 use hetpipe_model::ModelGraph;
 use hetpipe_schedule::{
@@ -257,7 +262,7 @@ pub struct RunStats {
     /// (`SegmentOpts::stop_after_mb`) this is the splice point where
     /// the boundary wave's last work finished.
     pub end: SimTime,
-    /// DES events processed (the fleet bench's work unit).
+    /// DES events processed.
     pub events: u64,
 }
 
@@ -392,23 +397,8 @@ struct GpuCursor {
     bwd_consumed: Vec<u64>,
 }
 
-/// How the executor learns about *other* virtual workers' push
-/// clocks — the only cross-VW coupling in the whole simulation.
-#[derive(Clone, Copy)]
-enum Coupling<'a> {
-    /// All VWs live in this `Exec`: pulls are served by scanning
-    /// `min_clock` over the in-process states (the legacy path,
-    /// bit-identical to the seed executor).
-    InProcess,
-    /// This `Exec` simulates exactly one VW (`id` on the bus); push
-    /// landings are announced to the [`GateBus`] and pull serves are
-    /// decided by it (`hetpipe-fleet`).
-    Bus { bus: &'a dyn GateBus, id: usize },
-}
-
 struct Exec<'a> {
     p: ExecParams<'a>,
-    coupling: Coupling<'a>,
     engine: Engine<Ev>,
     pool: ResourcePool,
     trace: Trace<SpanTag>,
@@ -438,7 +428,7 @@ struct Exec<'a> {
 }
 
 impl<'a> Exec<'a> {
-    fn new(p: ExecParams<'a>, opts: SegmentOpts, horizon: SimTime, coupling: Coupling<'a>) -> Self {
+    fn new(p: ExecParams<'a>, opts: SegmentOpts, horizon: SimTime) -> Self {
         let cluster = p.cluster;
         let mut pool = ResourcePool::new();
         let gpu_res: Vec<ResourceId> = cluster
@@ -573,7 +563,6 @@ impl<'a> Exec<'a> {
 
         Exec {
             p,
-            coupling,
             engine: Engine::new(),
             pool,
             trace: Trace::new(),
@@ -1553,11 +1542,6 @@ impl<'a> Exec<'a> {
             Vec::new()
         };
         if chunk_list.is_empty() {
-            // Zero-transfer pushes land instantly; announce before
-            // completing so the bus learns the landing first.
-            if let Coupling::Bus { bus, id } = self.coupling {
-                bus.announce_push(id, wave, self.engine.now());
-            }
             self.push_completed(vw, wave);
             return;
         }
@@ -1565,7 +1549,6 @@ impl<'a> Exec<'a> {
             .push_remaining
             .insert(wave, chunk_list.len());
         debug_assert!(prev.is_none(), "wave {wave} pushed twice");
-        let mut lands = SimTime::ZERO;
         for ch in chunk_list {
             self.account_sync(ch.gpu_node, ch.shard_node, ch.bytes);
             let arrive = self.transfer(
@@ -1578,7 +1561,6 @@ impl<'a> Exec<'a> {
                     pull: false,
                 },
             );
-            lands = lands.max(arrive);
             self.engine.schedule_at(
                 arrive,
                 Ev::PushChunkDone {
@@ -1586,12 +1568,6 @@ impl<'a> Exec<'a> {
                     wave,
                 },
             );
-        }
-        // The landing instant is fully decided at push *start* (chunk
-        // arrivals were just reserved on the NIC timelines) — this is
-        // the lookahead the conservative fleet protocol runs on.
-        if let Coupling::Bus { bus, id } = self.coupling {
-            bus.announce_push(id, wave, lands);
         }
     }
 
@@ -1626,51 +1602,30 @@ impl<'a> Exec<'a> {
                 None => st.pull_request = Some((target, now)),
             }
         }
-        // A new push may unblock any VW's pending pull. Under bus
-        // coupling this is the bus's job: the owning `VwEngine` polls
-        // before its next local event instead.
-        if matches!(self.coupling, Coupling::InProcess) {
-            for v in 0..self.states.len() {
-                self.try_serve_pull(v);
-            }
+        // A new push may unblock any VW's pending pull.
+        for v in 0..self.states.len() {
+            self.try_serve_pull(v);
         }
     }
 
     fn try_serve_pull(&mut self, vw: usize) {
-        debug_assert!(
-            matches!(self.coupling, Coupling::InProcess),
-            "bus-coupled serves are decided by the bus"
-        );
         if self.states[vw].pull_remaining > 0 {
             return; // A pull transfer is already in flight.
         }
-        let Some((target, _since)) = self.states[vw].pull_request else {
+        let Some((target, since)) = self.states[vw].pull_request else {
             return;
         };
         let min_clock = self.min_clock();
         if min_clock < target + 1 {
             return; // Straggler has not pushed wave `target` yet.
         }
-        self.serve_pull(vw, min_clock as i64 - 1);
-    }
-
-    /// Applies a decided pull serve for `vw` at the current instant,
-    /// installing the global `version` — the shared tail of the
-    /// in-process `try_serve_pull` scan and the fleet bus verdict
-    /// ([`VwEngine`] calls this when the bus returns
-    /// [`ServePoll::Ready`]).
-    fn serve_pull(&mut self, vw: usize, version: i64) {
         let now = self.engine.now();
-        let (_, since) = self.states[vw]
-            .pull_request
-            .expect("serve_pull requires a pending request");
-        debug_assert_eq!(self.states[vw].pull_remaining, 0);
         {
             let st = &mut self.states[vw];
             st.stats.pull_wait += now - since;
             st.stats.wait_windows.push((since, now));
             st.pull_request = None;
-            st.pull_serving_version = version;
+            st.pull_serving_version = min_clock as i64 - 1;
         }
         let chunk_list = if self.p.sync_transfers {
             self.chunks[vw].clone()
@@ -1711,28 +1666,12 @@ impl<'a> Exec<'a> {
             st.pulled = st.pulled.max(st.pull_serving_version);
             self.engine
                 .schedule_in(SimTime::ZERO, Ev::TryInject { vw: vw as u32 });
-            // A newer request may have queued while transferring. The
-            // bus-coupled engine re-polls instead (`refresh_pending`
-            // sees the request become serveable at this instant).
-            if matches!(self.coupling, Coupling::InProcess) {
-                self.try_serve_pull(vw);
-            }
+            // A newer request may have queued while transferring.
+            self.try_serve_pull(vw);
         }
     }
 
     fn run(mut self) -> RunStats {
-        self.prologue();
-        let horizon = self.horizon;
-        while let Some(ev) = self.engine.next_event_until(horizon) {
-            self.handle(ev);
-        }
-        self.finish_stats()
-    }
-
-    /// Installs rate timelines and schedules the initial events — the
-    /// setup both [`Exec::run`] and an externally-driven [`VwEngine`]
-    /// perform before the first pop.
-    fn prologue(&mut self) {
         // Rates carried over from earlier segments (fault windows that
         // opened before this segment started).
         for i in 0..self.opts.initial_rates.len() {
@@ -1769,11 +1708,10 @@ impl<'a> Exec<'a> {
             self.engine
                 .schedule_at(SimTime::ZERO, Ev::TryInject { vw: vw as u32 });
         }
-    }
-
-    /// Folds the finished simulation into [`RunStats`].
-    fn finish_stats(self) -> RunStats {
         let horizon = self.horizon;
+        while let Some(ev) = self.engine.next_event_until(horizon) {
+            self.handle(ev);
+        }
         // A drained segment ends when its last span of work does, not
         // at engine quiescence: scheduled rate edges are first-class
         // events, so a recovery edge far past the splice boundary
@@ -1811,7 +1749,7 @@ impl<'a> Exec<'a> {
 
 /// Runs the pipeline simulation until `horizon`.
 pub fn run(params: ExecParams<'_>, horizon: SimTime) -> RunStats {
-    Exec::new(params, SegmentOpts::default(), horizon, Coupling::InProcess).run()
+    Exec::new(params, SegmentOpts::default(), horizon).run()
 }
 
 /// Runs one *segment* of a fault-aware simulation: [`run`] extended
@@ -1829,209 +1767,30 @@ pub fn run_segment(params: ExecParams<'_>, opts: SegmentOpts, horizon: SimTime) 
             params.wsp.nm
         );
     }
-    Exec::new(params, opts, horizon, Coupling::InProcess).run()
+    Exec::new(params, opts, horizon).run()
 }
 
-/// Result of one [`VwEngine::step`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepOutcome {
-    /// An event was processed or a decided serve applied; step again.
-    Progressed,
-    /// Blocked on the bus (an undecidable pull poll); re-step after
-    /// the bus state changes.
-    Blocked,
-    /// Nothing left at or below the horizon; the engine reported
-    /// [`GateBus::finish`] and every further step is a no-op.
-    Done,
-}
-
-/// One virtual worker's simulation as an externally-drivable engine:
-/// a single-VW [`Exec`] coupled to a [`GateBus`] instead of the
-/// in-process `min_clock` scan. The fleet driver (`hetpipe-fleet`)
-/// owns many of these — one [`hetpipe_des::EngineCore`] each — and
-/// steps them on a thread pool; the bus is the *only* channel between
-/// them, mirroring the PS push→gate edges certified as the sole
-/// cross-VW dependency class by `hetpipe-verify`'s isolation pass.
-///
-/// Stepping discipline (conservative synchronization):
-///
-/// - Before popping the next local event at `t`, a pending pull is
-///   polled with bound `t`; the bus either decides the serve
-///   ([`ServePoll::Ready`], always at `≤ t`), proves it is not at or
-///   before `t` ([`ServePoll::NotBefore`]), or blocks
-///   ([`ServePoll::Wait`]).
-/// - A decided serve is applied *before* the local event at the same
-///   instant (the in-process executor serves inside the push handler,
-///   i.e. ahead of any later-queued event at that instant).
-/// - A `NotBefore` carries a certified lower bound on the serve
-///   instant; it is cached and suppresses re-polls while the bound
-///   stays strictly below it — the engine pops whole stretches of
-///   local events with no bus traffic. The cache is invalidated when
-///   the request's target changes (a wave push can upgrade a pending
-///   request in place).
-///
-/// The induction this keeps sound: the engine never pops a local
-/// event without first proving the pending serve lies strictly after
-/// it, so no serve ever lands in the engine's local past.
-pub struct VwEngine<'a> {
-    ex: Exec<'a>,
-    bus: &'a dyn GateBus,
-    id: usize,
-    /// Instant the current pull request became locally serveable
-    /// (request present *and* no pull transfer in flight) — the
-    /// `ready_since` of polls, and the earliest the serve can happen.
-    poll_floor: SimTime,
-    /// Target wave of the currently-serveable request, if any.
-    pending_target: Option<u64>,
-    /// The serve provably happens no earlier than this instant
-    /// (cached `NotBefore` lower bound).
-    not_before: Option<SimTime>,
-    finished: bool,
-}
-
-impl<'a> VwEngine<'a> {
-    /// Builds the engine for the single VW in `params`, registered as
-    /// `id` on `bus`. The prologue (rate timelines, initial inject
-    /// events) runs immediately; no event is popped yet.
-    pub fn new(
-        params: ExecParams<'a>,
-        opts: SegmentOpts,
-        horizon: SimTime,
-        bus: &'a dyn GateBus,
-        id: usize,
-    ) -> VwEngine<'a> {
-        assert_eq!(
-            params.vws.len(),
-            1,
-            "a fleet engine simulates exactly one VW"
-        );
-        if let Some(stop) = opts.stop_after_mb {
-            assert!(
-                stop.is_multiple_of(params.wsp.nm as u64),
-                "segments splice at wave boundaries (stop {} vs Nm {})",
-                stop,
-                params.wsp.nm
-            );
+/// An order-independent FNV-1a digest of a span multiset: spans are
+/// canonicalized to `resource start end tag` lines, sorted, and
+/// hashed. Two traces fingerprint equal iff they contain the same
+/// spans, regardless of recording order, so a golden trace is hashed
+/// once and every run is compared against that value.
+pub fn trace_fingerprint(spans: &[Span<SpanTag>]) -> u64 {
+    let mut lines: Vec<String> = spans
+        .iter()
+        .map(|s| format!("{} {:?} {:?} {:?}", s.resource.0, s.start, s.end, s.tag))
+        .collect();
+    lines.sort_unstable();
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for line in &lines {
+        for b in line.as_bytes() {
+            h ^= u64::from(*b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
-        let mut ex = Exec::new(params, opts, horizon, Coupling::Bus { bus, id });
-        ex.prologue();
-        let mut eng = VwEngine {
-            ex,
-            bus,
-            id,
-            poll_floor: SimTime::ZERO,
-            pending_target: None,
-            not_before: None,
-            finished: false,
-        };
-        eng.refresh_pending();
-        eng
+        h ^= u64::from(b'\n');
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
-
-    /// Re-derives the serveable-request view after local state may
-    /// have changed (an event was handled or a serve applied).
-    fn refresh_pending(&mut self) {
-        let st = &self.ex.states[0];
-        let req = if st.pull_remaining == 0 {
-            st.pull_request.map(|(t, _)| t)
-        } else {
-            None // In-flight pull; a queued request is not yet serveable.
-        };
-        if req != self.pending_target {
-            // New request, upgraded target, or served/obscured: any
-            // cached verdict was computed for a different question.
-            self.not_before = None;
-            if req.is_some() && self.pending_target.is_none() {
-                // The request just became serveable: the serve cannot
-                // predate this instant (matches the in-process serve
-                // points — request creation and pull-transfer drain).
-                self.poll_floor = self.ex.engine.now();
-            }
-            self.pending_target = req;
-        }
-    }
-
-    /// Advances the simulation by one action. See the type-level doc
-    /// for the discipline; [`StepOutcome::Blocked`] callers must wait
-    /// for a bus change before re-stepping.
-    pub fn step(&mut self) -> StepOutcome {
-        if self.finished {
-            return StepOutcome::Done;
-        }
-        let horizon = self.ex.horizon;
-        let bound = match self.ex.engine.peek_time() {
-            Some(t) if t <= horizon => t,
-            _ => horizon,
-        };
-        if let Some(target) = self.pending_target {
-            let serve = if self.not_before.is_some_and(|b| bound < b) {
-                None // Provably not before the bound; pop freely.
-            } else {
-                match self.bus.poll_serve(self.id, target, self.poll_floor, bound) {
-                    ServePoll::Ready { at, version } => {
-                        debug_assert!(at >= self.poll_floor && at <= bound);
-                        Some((at, version))
-                    }
-                    ServePoll::NotBefore { at_least } => {
-                        debug_assert!(at_least > bound);
-                        self.not_before = Some(at_least);
-                        None
-                    }
-                    ServePoll::Wait => return StepOutcome::Blocked,
-                }
-            };
-            if let Some((at, version)) = serve {
-                // Serve-first at ties: the in-process executor serves
-                // inside the handler of the crossing push, ahead of
-                // local events queued at the same instant.
-                self.ex.engine.advance_to(at);
-                self.bus.publish_frontier(self.id, at);
-                self.ex.serve_pull(0, version);
-                self.refresh_pending();
-                return StepOutcome::Progressed;
-            }
-        }
-        match self.ex.engine.next_event_until(horizon) {
-            Some(ev) => {
-                self.bus.publish_frontier(self.id, self.ex.engine.now());
-                self.ex.handle(ev);
-                self.refresh_pending();
-                StepOutcome::Progressed
-            }
-            None => {
-                // Horizon reached (or queue drained) with no pending
-                // serve at or before it: this VW is done. An unserved
-                // request past the horizon matches the in-process
-                // executor, which simply stops popping.
-                self.finished = true;
-                self.bus.publish_frontier(self.id, horizon);
-                self.bus.finish(self.id);
-                StepOutcome::Done
-            }
-        }
-    }
-
-    /// Events processed so far on this engine's core.
-    pub fn processed(&self) -> u64 {
-        self.ex.engine.processed()
-    }
-
-    /// Current simulated time of this engine.
-    pub fn now(&self) -> SimTime {
-        self.ex.engine.now()
-    }
-
-    /// Whether [`StepOutcome::Done`] has been reached.
-    pub fn is_done(&self) -> bool {
-        self.finished
-    }
-
-    /// Folds the finished engine into its single-VW [`RunStats`]
-    /// (trace spans carry local ids: `vw` is always 0 and resources
-    /// index this engine's private pool).
-    pub fn into_stats(self) -> RunStats {
-        self.ex.finish_stats()
-    }
+    h
 }
 
 #[cfg(test)]
@@ -2478,5 +2237,31 @@ mod tests {
                 "{schedule} made no progress on k=1"
             );
         }
+    }
+
+    fn span(resource: usize, start: f64, vw: u32, mb: u64) -> Span<SpanTag> {
+        Span {
+            resource: ResourceId(resource),
+            start: SimTime::from_secs(start),
+            end: SimTime::from_secs(start + 1.0),
+            tag: SpanTag::Forward { vw, stage: 0, mb },
+        }
+    }
+
+    #[test]
+    fn fingerprint_ignores_recording_order() {
+        let a = vec![span(0, 0.0, 0, 1), span(1, 2.0, 1, 3), span(0, 5.0, 0, 2)];
+        let mut b = a.clone();
+        b.reverse();
+        assert_eq!(trace_fingerprint(&a), trace_fingerprint(&b));
+    }
+
+    #[test]
+    fn fingerprint_separates_different_span_sets() {
+        let a = vec![span(0, 0.0, 0, 1)];
+        let b = vec![span(0, 0.0, 0, 2)];
+        let c = vec![span(1, 0.0, 0, 1)];
+        assert_ne!(trace_fingerprint(&a), trace_fingerprint(&b));
+        assert_ne!(trace_fingerprint(&a), trace_fingerprint(&c));
     }
 }

@@ -49,11 +49,11 @@ pub mod vw;
 
 pub use alloc::AllocationPolicy;
 pub use audit::OccupancyAudit;
-pub use exec::{RateEvent, RateTarget, SegmentOpts, StepOutcome, VwEngine};
+pub use exec::{RateEvent, RateTarget, SegmentOpts};
 pub use hetpipe_schedule::{PipelineSchedule, RecomputePolicy, Schedule};
 pub use metrics::SystemReport;
 pub use plankey::{cluster_fingerprint, graph_fingerprint, RefineKey, ShardedCache};
 pub use pserver::Placement;
-pub use sync::{GateBus, ServePoll, SyncModel, WspParams};
+pub use sync::{SyncModel, WspParams};
 pub use system::{replan_vw_from_observed, BuildError, HetPipeSystem, SystemConfig};
 pub use vw::VirtualWorker;

@@ -53,10 +53,6 @@ impl SyncChunk {
 #[derive(Debug, Clone)]
 pub struct ShardMap {
     shard_of_layer: Vec<NodeId>,
-    /// Replicated-cell mode ([`ShardMap::build_vw_local`]): every VW
-    /// synchronizes with shards on its *own* stage nodes, so the
-    /// reference map above is ignored by [`ShardMap::chunks_for`].
-    vw_local: bool,
 }
 
 impl ShardMap {
@@ -82,32 +78,7 @@ impl ShardMap {
                 })
                 .collect(),
         };
-        ShardMap {
-            shard_of_layer,
-            vw_local: false,
-        }
-    }
-
-    /// Builds the replicated-cell shard map of the fleet topology:
-    /// every VW's shard for stage `q`'s layers is the node hosting
-    /// *its own* stage `q` — [`Placement::Local`] applied per VW
-    /// rather than from one shared reference worker. On a fleet of
-    /// node-disjoint cells this keeps every VW's synchronization
-    /// traffic on resources the VW owns, which is precisely the
-    /// topology `hetpipe-verify`'s VW-isolation certificate describes
-    /// (all cross-VW edges flow through the parameter-server clocks,
-    /// none through shared timelines).
-    pub fn build_vw_local(graph: &ModelGraph) -> ShardMap {
-        ShardMap {
-            // Unused in vw-local mode; kept so `shard_of` stays total.
-            shard_of_layer: vec![NodeId(0); graph.len()],
-            vw_local: true,
-        }
-    }
-
-    /// Whether this map is the per-VW-local replicated-cell mode.
-    pub fn is_vw_local(&self) -> bool {
-        self.vw_local
+        ShardMap { shard_of_layer }
     }
 
     /// The shard holding layer `i`.
@@ -127,18 +98,12 @@ impl ShardMap {
         let mut chunks = Vec::new();
         for (stage, range) in vw.plan.ranges.iter().enumerate() {
             let gpu_node = cluster.node_of(vw.devices[stage]);
-            // Accumulate bytes per shard for this stage. In vw-local
-            // mode the stage's shard is its own hosting node.
+            // Accumulate bytes per shard for this stage.
             let mut per_shard = std::collections::BTreeMap::new();
             for i in range.clone() {
                 let bytes = graph.layers()[i].param_bytes;
                 if bytes > 0 {
-                    let shard = if self.vw_local {
-                        gpu_node
-                    } else {
-                        self.shard_of(i)
-                    };
-                    *per_shard.entry(shard).or_insert(0u64) += bytes;
+                    *per_shard.entry(self.shard_of(i)).or_insert(0u64) += bytes;
                 }
             }
             for (shard_node, bytes) in per_shard {
@@ -222,38 +187,6 @@ mod tests {
             let m = ShardMap::build(placement, &g, &c, &vw);
             let total: u64 = m.chunks_for(&g, &c, &vw).iter().map(|ch| ch.bytes).sum();
             assert_eq!(total, g.total_param_bytes(), "{placement:?}");
-        }
-    }
-
-    #[test]
-    fn vw_local_chunks_stay_on_each_vws_own_nodes() {
-        // Two VWs on disjoint nodes: the shared Local map (built from
-        // VW 0) sends VW 1's sync across nodes; the vw-local map keeps
-        // every VW's chunks on its own nodes — the fleet topology.
-        let c = Cluster::paper_testbed();
-        let g = vgg19(32);
-        let mk = |devices: Vec<DeviceId>| {
-            let gpus = devices.iter().map(|&d| c.spec_of(d)).collect();
-            let links = VirtualWorker::links(&c, &devices);
-            let plan = PartitionSolver::solve(&PartitionProblem::new(&g, gpus, links, 1)).unwrap();
-            VirtualWorker {
-                index: 0,
-                devices,
-                plan,
-                nm: 1,
-            }
-        };
-        // Node-partition style: VW 0 entirely on node 0, VW 1 on node 1.
-        let vw0 = mk((0..4).map(DeviceId).collect());
-        let vw1 = mk((4..8).map(DeviceId).collect());
-        let shared = ShardMap::build(Placement::Local, &g, &c, &vw0);
-        assert!(shared.cross_node_bytes(&g, &c, &vw1) > 0);
-        let local = ShardMap::build_vw_local(&g);
-        assert!(local.is_vw_local());
-        for vw in [&vw0, &vw1] {
-            assert_eq!(local.cross_node_bytes(&g, &c, vw), 0);
-            let total: u64 = local.chunks_for(&g, &c, vw).iter().map(|ch| ch.bytes).sum();
-            assert_eq!(total, g.total_param_bytes());
         }
     }
 

@@ -1,15 +1,13 @@
 //! Declared read/write resource footprints — the vocabulary the
 //! static isolation pass speaks.
 //!
-//! The ROADMAP's fleet-scale direction rests on a decomposition claim:
-//! virtual workers interact *only* through parameter-server push/pull,
-//! so each VW's event stream can run on its own engine and synchronize
-//! conservatively at WSP gates. Proving that claim statically
-//! (`hetpipe-verify`'s isolation pass) needs a shared language for
-//! *what state an event touches*: every event class declares a
-//! [`Footprint`] — the [`FootprintResource`]s it reads and writes —
-//! and every resource has an [`Owner`] that decides which engine may
-//! host it.
+//! WSP (the paper's §5) rests on an isolation claim: virtual workers
+//! interact *only* through parameter-server push/pull. Proving that
+//! claim statically (`hetpipe-verify`'s isolation pass) needs a shared
+//! language for *what state an event touches*: every event class
+//! declares a [`Footprint`] — the [`FootprintResource`]s it reads and
+//! writes — and every resource has an [`Owner`]: one virtual worker,
+//! the parameter server, or the environment.
 //!
 //! The ownership discipline is the whole theorem:
 //!
@@ -24,8 +22,8 @@
 //! - [`Owner::External`] resources ([`FootprintResource::Rate`]) are
 //!   written by the world, not by any VW event: fault-script rate
 //!   edges retune a GPU's or NIC's service rate. They carry no
-//!   VW-to-VW information, which is why a fault script can simply be
-//!   replicated into every per-VW engine.
+//!   VW-to-VW information, which is why composing a fault script into
+//!   a run adds no cross-VW channel.
 //!
 //! This module is deliberately dependency-free data (like
 //! [`crate::bounds`]): the schedule crate and the runtime declare
@@ -35,16 +33,17 @@
 
 use std::fmt;
 
-/// Which engine owns a resource under the per-VW decomposition.
+/// Who owns a resource: one virtual worker, the parameter server, or
+/// the environment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Owner {
-    /// Private to one virtual worker's engine.
+    /// Private to one virtual worker.
     Vw(usize),
     /// Shared through the parameter server — the only legal cross-VW
     /// channel.
     ParameterServer,
     /// Written by the environment (fault scripts), read by no event's
-    /// dependency logic: safe to replicate into every engine.
+    /// dependency logic: carries no information between VWs.
     External,
 }
 
@@ -117,7 +116,8 @@ pub enum FootprintResource {
 }
 
 impl FootprintResource {
-    /// The owner of this resource under the per-VW decomposition.
+    /// The owner of this resource: one VW, the parameter server, or the
+    /// environment.
     pub fn owner(&self) -> Owner {
         match *self {
             FootprintResource::ExecUnit { vw, .. }

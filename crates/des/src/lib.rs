@@ -35,7 +35,7 @@ pub mod time;
 pub mod trace;
 
 pub use bounds::{check_bounds, BoundEntity, OccupancyBound};
-pub use engine::{Engine, EngineCore};
+pub use engine::Engine;
 pub use event::EventQueue;
 pub use footprint::{Footprint, FootprintResource, Owner, RateKind};
 pub use resource::{Resource, ResourceId, ResourcePool};

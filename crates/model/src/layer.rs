@@ -47,7 +47,9 @@ impl LayerKind {
     /// with small spatial extents; dense layers are GEMV-like at batch
     /// 32. These multipliers are calibrated jointly with
     /// `TITAN_V_SUSTAINED_FLOPS` against Figure 3's `Nm = 1` absolute
-    /// throughputs (see EXPERIMENTS.md).
+    /// throughputs (`profile::tests::whole_model_step_times_in_calibrated_range`
+    /// pins the resulting step times; the `fig3` bin in `hetpipe-bench`
+    /// prints the throughputs).
     pub fn flops_rate_multiplier(self) -> f64 {
         match self {
             LayerKind::Conv2d => 4.10,

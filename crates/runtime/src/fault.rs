@@ -347,8 +347,7 @@ impl FaultScript {
     /// environment-owned [`hetpipe_des::FootprintResource::Rate`]
     /// register (the GPU's or NIC's service rate) and reads nothing,
     /// so `hetpipe-verify` can certify that fault scripts never
-    /// create a VW-to-VW dependence: replicating a script into every
-    /// per-VW engine leaves the dependency DAG untouched.
+    /// create a VW-to-VW dependence.
     pub fn edge_footprints(&self) -> Vec<hetpipe_des::Footprint> {
         footprints_from_edges(&self.edges())
     }

@@ -339,8 +339,7 @@ impl ScenarioScript {
     /// successor of [`FaultScript::edge_footprints`] for the static
     /// VW-isolation pass: lease edges, like fault edges, write exactly
     /// one environment-owned rate register and read nothing, so a
-    /// scenario script replicated into every per-VW engine leaves the
-    /// dependency DAG untouched.
+    /// scenario script adds no dependence between virtual workers.
     pub fn edge_footprints(&self) -> Vec<hetpipe_des::Footprint> {
         footprints_from_edges(&self.edges())
     }

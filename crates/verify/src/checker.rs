@@ -39,21 +39,6 @@ pub trait ShadowSpec {
     /// The invariant, judged on a reachable state. `Err` is a
     /// violation and aborts the search with a counterexample.
     fn check(&self, state: &Self::State) -> Result<(), String>;
-
-    /// Commutativity oracle for partial-order reduction
-    /// ([`explore_por`]). Must return `true` only when the two steps
-    /// *commute in every state* — `apply(a); apply(b)` and
-    /// `apply(b); apply(a)` reach identical states — and neither
-    /// enables or disables the other (trivially satisfied here: list
-    /// programs keep every pending op enabled). Claiming independence
-    /// for non-commuting ops makes the reduction unsound, so
-    /// implementations should prove their oracle by construction
-    /// (e.g. ops touching disjoint state cells) and the default
-    /// claims nothing: [`explore_por`] then degenerates to the full
-    /// enumeration of [`explore`].
-    fn independent(&self, _a_thread: usize, _a: Self::Op, _b_thread: usize, _b: Self::Op) -> bool {
-        false
-    }
 }
 
 /// Statistics of a completed (violation-free) exploration.
@@ -140,93 +125,6 @@ fn dfs<S: ShadowSpec>(
     }
     if !progressed {
         stats.interleavings += 1;
-    }
-    Ok(())
-}
-
-/// Explores `programs` over `spec` with **sleep-set partial-order
-/// reduction**: interleavings that only reorder steps the spec's
-/// [`ShadowSpec::independent`] oracle proves commutative are explored
-/// once, through a single representative.
-///
-/// Soundness (why a green POR run is still a proof): a thread `t` is
-/// put to sleep for a sibling subtree only when its pending op
-/// commutes with the op taken first, so any state reachable through
-/// the pruned branch equals a state already visited in the earlier
-/// subtree — sleep sets never shrink the set of *visited states*,
-/// only the number of paths revisiting them (Godefroid's classic
-/// result). The invariant is checked at every applied step, so every
-/// reachable state is still judged; what drops is the leaf count —
-/// from the full multinomial to the number of Mazurkiewicz traces.
-/// With the default (all-dependent) oracle this function enumerates
-/// exactly what [`explore`] does.
-pub fn explore_por<S: ShadowSpec>(
-    spec: &S,
-    programs: &[Vec<S::Op>],
-) -> Result<Explored, Violation<S::Op>> {
-    let mut stats = Explored {
-        interleavings: 0,
-        steps: 0,
-    };
-    let mut pcs = vec![0usize; programs.len()];
-    let mut path = Vec::new();
-    let init = spec.init();
-    spec.check(&init).map_err(|message| Violation {
-        schedule: Vec::new(),
-        message,
-    })?;
-    dfs_por(spec, programs, &mut pcs, &init, &mut path, &[], &mut stats)?;
-    Ok(stats)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn dfs_por<S: ShadowSpec>(
-    spec: &S,
-    programs: &[Vec<S::Op>],
-    pcs: &mut [usize],
-    state: &S::State,
-    path: &mut Vec<(usize, S::Op)>,
-    sleep: &[usize],
-    stats: &mut Explored,
-) -> Result<(), Violation<S::Op>> {
-    if pcs.iter().zip(programs).all(|(&pc, prog)| pc >= prog.len()) {
-        stats.interleavings += 1;
-        return Ok(());
-    }
-    // Threads already explored at this node: their subtrees cover
-    // every trace starting with their op, so a later sibling may put
-    // them to sleep where the ops commute.
-    let mut explored_here: Vec<usize> = Vec::new();
-    for thread in 0..programs.len() {
-        if pcs[thread] >= programs[thread].len() || sleep.contains(&thread) {
-            continue;
-        }
-        let op = programs[thread][pcs[thread]];
-        // The child inherits every sleeping/explored thread whose
-        // pending op commutes with the op we are about to take; a
-        // dependent op wakes the thread up (its reordering is a
-        // genuinely different trace).
-        let child_sleep: Vec<usize> = sleep
-            .iter()
-            .chain(explored_here.iter())
-            .copied()
-            .filter(|&u| {
-                pcs[u] < programs[u].len() && spec.independent(u, programs[u][pcs[u]], thread, op)
-            })
-            .collect();
-        let mut next = state.clone();
-        spec.apply(&mut next, thread, op);
-        stats.steps += 1;
-        path.push((thread, op));
-        pcs[thread] += 1;
-        spec.check(&next).map_err(|message| Violation {
-            schedule: path.clone(),
-            message,
-        })?;
-        dfs_por(spec, programs, pcs, &next, path, &child_sleep, stats)?;
-        pcs[thread] -= 1;
-        path.pop();
-        explored_here.push(thread);
     }
     Ok(())
 }
@@ -332,79 +230,5 @@ mod tests {
         let stats = explore(&spec, &[vec![], vec![]]).unwrap();
         assert_eq!(stats.interleavings, 1);
         assert_eq!(stats.steps, 0);
-    }
-
-    #[test]
-    fn por_with_default_oracle_is_the_full_enumeration() {
-        // Toy claims no independence, so sleep sets stay empty and
-        // explore_por visits exactly what explore does.
-        let spec = Toy { forbidden: None };
-        for programs in [
-            vec![vec![0usize; 3], vec![0; 3]],
-            vec![vec![0; 3], vec![0; 2], vec![0; 2]],
-        ] {
-            let full = explore(&spec, &programs).unwrap();
-            let por = explore_por(&spec, &programs).unwrap();
-            assert_eq!(por, full);
-        }
-    }
-
-    /// Threads increment private counters — every pair of ops on
-    /// *different* threads commutes, so the oracle can declare full
-    /// independence and POR collapses the multinomial to one trace.
-    struct Disjoint {
-        forbid: Option<Vec<u32>>,
-    }
-
-    impl ShadowSpec for Disjoint {
-        type State = Vec<u32>;
-        type Op = usize;
-
-        fn init(&self) -> Vec<u32> {
-            vec![0; 4]
-        }
-
-        fn apply(&self, state: &mut Vec<u32>, thread: usize, _op: usize) {
-            state[thread] += 1;
-        }
-
-        fn check(&self, state: &Vec<u32>) -> Result<(), String> {
-            if self.forbid.as_deref() == Some(state.as_slice()) {
-                Err(format!("forbidden state reached: {state:?}"))
-            } else {
-                Ok(())
-            }
-        }
-
-        fn independent(&self, a_thread: usize, _a: usize, b_thread: usize, _b: usize) -> bool {
-            a_thread != b_thread
-        }
-    }
-
-    #[test]
-    fn por_collapses_fully_independent_programs_to_one_trace() {
-        let spec = Disjoint { forbid: None };
-        let programs = vec![vec![0usize; 2]; 4];
-        let full = explore(&spec, &programs).unwrap();
-        assert_eq!(full.interleavings, interleaving_count(&[2, 2, 2, 2]));
-        assert_eq!(full.interleavings, 2520);
-        let por = explore_por(&spec, &programs).unwrap();
-        assert_eq!(por.interleavings, 1, "one Mazurkiewicz trace");
-        assert!(por.steps < full.steps);
-    }
-
-    #[test]
-    fn por_still_visits_every_state() {
-        // The forbidden state [2, 0, 0, 0] is an *intermediate* state
-        // (thread 0 done, others not started). Even with maximal
-        // reduction the representative trace passes through it — the
-        // violation must still surface.
-        let spec = Disjoint {
-            forbid: Some(vec![2, 0, 0, 0]),
-        };
-        let programs = vec![vec![0usize; 2]; 4];
-        let v = explore_por(&spec, &programs).unwrap_err();
-        assert!(v.message.contains("forbidden"), "{v}");
-        assert_eq!(v.schedule.len(), 2);
     }
 }

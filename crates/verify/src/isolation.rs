@@ -1,10 +1,12 @@
 //! VW-isolation certificates: the footprint pass that proves virtual
 //! workers interact *only* through parameter-server push/gate.
 //!
-//! The fleet-scale engine direction (ROADMAP) wants one DES engine per
-//! virtual worker. That decomposition is sound iff no dependency edge
-//! carries information between VWs except the WSP push→gate coupling —
-//! a claim this pass proves per configuration instead of assuming.
+//! The paper's WSP (§5) couples virtual workers only through the
+//! parameter servers: a worker's wave push, and the pull gates of
+//! every worker waiting on that wave. This pass proves, per
+//! configuration, that the committed schedules keep that promise — no
+//! dependency edge carries information between VWs except the WSP
+//! push→gate coupling — instead of assuming it.
 //!
 //! Every node of the dependency graph ([`crate::graph::dependency_graph`])
 //! gets a declared footprint in the [`hetpipe_des::footprint`]
@@ -13,20 +15,20 @@
 //! 1. **Explained**: the endpoints' footprints must conflict (flow,
 //!    output, or anti dependence on some shared resource). An edge the
 //!    footprints cannot explain means an event class *under-declares*
-//!    what it touches — the exact bug that would let a per-VW engine
-//!    reorder two ops the executor serializes.
+//!    what it touches, so the footprint model no longer describes the
+//!    state the executor serializes on.
 //! 2. **Isolated**: when the endpoints belong to different VWs, the
 //!    edge must be the WSP [`EdgeKind::Wsp`] push→gate coupling and
 //!    every shared resource must be owned by the parameter server.
-//!    Anything else is a *cross-VW leak* — a dependence the per-VW
-//!    engines would not synchronize on.
+//!    Anything else is a *cross-VW leak* — a dependence outside the
+//!    parameter-server coupling WSP defines.
 //!
 //! A green run emits an [`IsolationCertificate`] (edge counts by
 //! class); a violation names both endpoint ops and the violation
 //! class, so broken fixtures read like counterexamples, not booleans.
 //! [`verify_script_isolation`] extends the certificate over a fault
-//! script's rate edges: they must be environment-owned writes, which
-//! is what makes replicating a script into every engine sound.
+//! script's rate edges: they must be environment-owned writes, so a
+//! fault script adds no channel between virtual workers.
 
 use crate::graph::{dependency_graph, DepGraphData, DepNode, EdgeKind};
 use hetpipe_des::footprint::{Footprint, FootprintResource, Owner};
@@ -34,7 +36,7 @@ use hetpipe_schedule::{
     committed_queues, CommittedQueue, PipelineSchedule, RecomputePolicy, WspParams,
 };
 
-/// The two ways an edge can refute the decomposition.
+/// The two ways an edge can refute VW isolation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IsolationViolationClass {
     /// A dependence between different VWs that is not the PS
@@ -351,8 +353,8 @@ pub fn verify_vw_isolation(
 /// Composes a fault script's rate-edge footprints into `cert`: every
 /// edge must be a write to an environment-owned rate register (and
 /// read nothing), which proves the script is disjoint from all VW and
-/// PS state — replicating it into every per-VW engine leaves the
-/// dependency DAG untouched. Returns the certificate with
+/// PS state — composing it into a run leaves the dependency DAG and
+/// its cross-VW edges untouched. Returns the certificate with
 /// `fault_edges` counted.
 pub fn verify_script_isolation(
     cert: IsolationCertificate,

@@ -20,9 +20,9 @@
 //!   minibatch of a warmup-covering horizon, with a wave-shift
 //!   invariance witness as the induction step extending the finite
 //!   check to the infinite stream.
-//! - [`isolation`] / [`lookahead`] — the **fleet-decomposition
-//!   certificates** (the contract the parallel per-VW engine refactor
-//!   is built against). Every dependency-graph node declares a
+//! - [`isolation`] / [`lookahead`] — the **WSP coupling
+//!   certificates**: properties of the schedule *shape* that the
+//!   paper's WSP (§5) promises. Every dependency-graph node declares a
 //!   read/write footprint in the [`hetpipe_des::footprint`]
 //!   vocabulary, whose resources are owned by one VW, by the
 //!   parameter server, or by the environment. The isolation pass
@@ -32,31 +32,21 @@
 //!   (2) every cross-VW dependence is the WSP push→gate coupling on
 //!   PS-owned state, emitting an [`isolation::IsolationCertificate`]
 //!   per configuration (fault scripts compose in as write-only
-//!   environment rate edges). The lookahead pass then proves each
-//!   VW's gate cadence matches the closed form in `(Nm, D)` —
+//!   environment rate edges). The lookahead pass proves each VW's
+//!   committed gates sit exactly where
+//!   [`hetpipe_schedule::WspParams::required_wave`] puts them —
 //!   `s_global + 1 = (D + 2)·Nm − 1` stage-0 forwards of warmup, then
-//!   exactly `Nm` per gate-to-gate segment — the conservative-sync
-//!   window ([`lookahead::LookaheadWitness`]) the engines will
-//!   advance by.
-//! - [`staleness`] — the WSP staleness algebra is checked at **every**
-//!   minibatch of a warmup-covering horizon, with a wave-shift
-//!   invariance witness as the induction step extending the finite
-//!   check to the infinite stream.
-//! - [`checker`] / [`cachecheck`] / [`gatecheck`] — an in-tree,
-//!   loom-style **exhaustive-interleaving model checker**: pure shadow
-//!   state machines (one atomic step per real critical section) are
-//!   driven through *every* interleaving of the scenario programs,
-//!   proving the plan caches' `MatchSeq` invariant and the per-VW
-//!   **gate protocol** (no engine ever reads a push it shouldn't see
-//!   under bound `D`). Sleep-set partial-order reduction
-//!   ([`checker::explore_por`]) collapses provably-commuting
-//!   reorderings so 4-engine scenarios (63M unreduced interleavings)
-//!   stay enumerable; 3-thread scenarios are still pinned to their
-//!   unreduced multinomials as the exhaustiveness check. Deliberately
-//!   broken variants (a blind cache insert, an engine advancing past
-//!   a closed gate) are kept in-tree as negative controls: the
-//!   checker must find their counterexamples, which is what makes the
-//!   green runs on the real protocols evidence instead of vacuity.
+//!   exactly `Nm` per gate-to-gate segment — and each push right
+//!   after its wave's last backward ([`lookahead::LookaheadWitness`]).
+//! - [`checker`] / [`cachecheck`] — an in-tree, loom-style
+//!   **exhaustive-interleaving model checker**: pure shadow state
+//!   machines (one atomic step per real critical section) are driven
+//!   through *every* interleaving of the scenario programs (counts
+//!   pinned to their multinomials), proving the plan caches'
+//!   `MatchSeq` invariant. A deliberately broken variant (a blind
+//!   cache insert) is kept in-tree as a negative control: the checker
+//!   must find its counterexample, which is what makes the green runs
+//!   on the real protocol evidence instead of vacuity.
 //!
 //! Every pass here consumes the same artifacts the executor runs —
 //! [`hetpipe_schedule::committed_queues`] extraction, the real
@@ -70,18 +60,13 @@
 
 pub mod cachecheck;
 pub mod checker;
-pub mod gatecheck;
 pub mod graph;
 pub mod isolation;
 pub mod lookahead;
 pub mod staleness;
 
 pub use cachecheck::{check_broken_protocol, check_seq_protocol, ProtocolReport, SeqProtocol};
-pub use checker::{explore, explore_por, interleaving_count, Explored, ShadowSpec, Violation};
-pub use gatecheck::{
-    check_broken_gate_protocol, check_gate_protocol, GateOp, GateReport, GateState,
-    ShadowGateProtocol,
-};
+pub use checker::{explore, interleaving_count, Explored, ShadowSpec, Violation};
 pub use graph::{
     dependency_graph, structural_occupancy, verify_deadlock_free, verify_queues, CycleError,
     DagProof, DepEdge, DepGraphData, DepNode, EdgeKind, OccupancyReport,

@@ -1,14 +1,15 @@
-//! Lookahead-window certificates: the closed-form gate cadence the
-//! per-VW engines will synchronize on.
+//! Lookahead-window certificates: the closed-form gate cadence WSP
+//! puts into every committed schedule.
 //!
-//! Conservative parallel DES needs a *lookahead*: how far one engine
-//! may advance before it must observe the others. For the WSP
-//! decomposition that window is the gate-to-gate segment of the
-//! stage-0 stream, and it has a closed form in `(Nm, D)` alone:
+//! Under WSP (§5) a virtual worker blocks on the parameter server only
+//! at its pull gates, and the gate for wave `w` must sit right before
+//! the first minibatch that needs wave `w`
+//! ([`WspParams::required_wave`]). In the stage-0 stream that position
+//! has a closed form in `(Nm, D)` alone:
 //!
 //! - **warmup**: `s_global + 1 = (D + 2)·Nm − 1` stage-0 forwards run
 //!   before the first gate (wave 0) — minibatch `p` needs no global
-//!   wave while `p ≤ s_global + 1` ([`WspParams::required_wave`]);
+//!   wave while `p ≤ s_global + 1`;
 //! - **steady state**: exactly `Nm` stage-0 forwards between
 //!   consecutive gates — gate `w` precedes forward
 //!   `w·Nm + s_global + 2`, the first that requires wave `w`.
@@ -16,11 +17,10 @@
 //! [`verify_lookahead`] proves a configuration's committed queues
 //! place every gate and push exactly where the closed form says
 //! ([`hetpipe_schedule::ps_interaction_points`] extracts the committed
-//! positions), emitting a [`LookaheadWitness`] the engine refactor can
-//! golden-pin per schedule. A schedule whose stream drifted from the
-//! cadence — gating late (stale reads) or early (lost lookahead) —
-//! fails here with the offending gate named, before any engine is
-//! built on the assumption.
+//! positions), emitting a [`LookaheadWitness`] that is golden-pinned
+//! per schedule. A schedule whose stream drifted from the cadence —
+//! gating late (stale reads beyond the bound `D`) or early (needless
+//! waiting) — fails here with the offending gate named.
 
 use hetpipe_schedule::{
     committed_queues, ps_interaction_points, PipelineSchedule, RecomputePolicy, WspParams,

@@ -42,11 +42,11 @@
 //!   from the schedules' committed op queues, VW-isolation
 //!   certificates (every dependency edge explained by declared
 //!   resource footprints, cross-worker traffic confined to the PS
-//!   push→gate coupling) with closed-form lookahead witnesses,
-//!   exhaustive WSP staleness proofs, and an in-tree
-//!   exhaustive-interleaving model checker with sleep-set
-//!   partial-order reduction proving the plan caches' MatchSeq
-//!   invariant and the per-VW gate protocol (the `verify_all` CI
+//!   push→gate coupling, the paper's WSP §5) with closed-form
+//!   lookahead witnesses pinning every gate where
+//!   `WspParams::required_wave` puts it, exhaustive WSP staleness
+//!   proofs, and an in-tree exhaustive-interleaving model checker
+//!   proving the plan caches' MatchSeq invariant (the `verify_all` CI
 //!   gate sweeps the standing matrix through all of these).
 //!
 //! # Quickstart
@@ -111,7 +111,6 @@ pub use hetpipe_allreduce as allreduce;
 pub use hetpipe_cluster as cluster;
 pub use hetpipe_core as core;
 pub use hetpipe_des as des;
-pub use hetpipe_fleet as fleet;
 pub use hetpipe_model as model;
 pub use hetpipe_partition as partition;
 pub use hetpipe_plansvc as plansvc;

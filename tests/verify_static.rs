@@ -13,8 +13,9 @@
 //!
 //! The negative direction feeds each verifier a broken fixture — a
 //! cyclic committed queue, an under-declared occupancy bound, a stale
-//! and an acausal version rule, and the blind-insert cache protocol —
-//! and asserts each is rejected with a counterexample, so a regression
+//! and an acausal version rule, the blind-insert cache protocol, and a
+//! schedule that gates one stage-0 forward late — and asserts each is
+//! rejected with a counterexample, so a regression
 //! that made any pass vacuous would fail here before it silently
 //! weakened the gate.
 
@@ -26,13 +27,13 @@ use hetpipe::core::{
 use hetpipe::des::FootprintResource;
 use hetpipe::des::{check_bounds, BoundEntity, OccupancyBound, SimTime};
 use hetpipe::schedule::{
-    committed_queues, CommittedQueue, GpuOp, PipelineSchedule, QueueKind, ScheduleOp, WspParams,
+    committed_queues, ps_interaction_points, CommittedQueue, Dispatch, GpuOp, GpuStream,
+    PipelineSchedule, QueueKind, ScheduleOp, ScheduleStream, WspParams,
 };
 use hetpipe::verify::{
-    check_broken_gate_protocol, check_broken_protocol, check_gate_protocol, dependency_graph,
-    structural_occupancy, verify_isolation, verify_isolation_with, verify_lookahead, verify_queues,
-    verify_version_rule, DepEdge, DepNode, EdgeKind, FootprintModel, IsolationViolationClass,
-    LookaheadWitness,
+    check_broken_protocol, dependency_graph, lookahead_bound, structural_occupancy,
+    verify_isolation, verify_isolation_with, verify_lookahead, verify_queues, verify_version_rule,
+    DepEdge, DepNode, EdgeKind, FootprintModel, IsolationViolationClass, LookaheadWitness,
 };
 
 const NM: usize = 4;
@@ -324,32 +325,97 @@ fn lookahead_witnesses_are_golden_pinned_per_schedule() {
     }
 }
 
+/// The WSP config the late-gate fixture is judged under, and the one
+/// its streams are really built with: one minibatch more per wave at
+/// the same warmup — `(D + 2)·Nm − 1 = 5` for both.
+const JUDGED: WspParams = WspParams { nm: 2, d: 1 };
+const BUILT: WspParams = WspParams { nm: 3, d: 0 };
+
+/// A real schedule whose op streams are built with [`BUILT`] whatever
+/// WSP config they are asked for. Under [`JUDGED`], gate(w0) still
+/// sits where the closed form puts it, and gate(w1) is the first gate
+/// to drift: one stage-0 forward late.
+struct LateGate(Schedule);
+
+impl PipelineSchedule for LateGate {
+    fn name(&self) -> &'static str {
+        "late-gate"
+    }
+    fn dispatch(&self) -> Dispatch {
+        self.0.dispatch()
+    }
+    fn fused_last_stage(&self) -> bool {
+        self.0.fused_last_stage()
+    }
+    fn virtual_stages(&self, k_gpus: usize) -> usize {
+        self.0.virtual_stages(k_gpus)
+    }
+    fn colocated_stages(&self) -> usize {
+        self.0.colocated_stages()
+    }
+    fn stream(&self, stage: usize, k: usize, _wsp: WspParams) -> ScheduleStream {
+        self.0.stream(stage, k, BUILT)
+    }
+    fn gpu_streams_with(
+        &self,
+        k_gpus: usize,
+        _wsp: WspParams,
+        policy: RecomputePolicy,
+    ) -> Option<Vec<GpuStream>> {
+        self.0.gpu_streams_with(k_gpus, BUILT, policy)
+    }
+    fn max_in_flight(&self, stage: usize, k: usize, nm: usize) -> usize {
+        self.0.max_in_flight(stage, k, nm)
+    }
+}
+
 #[test]
-fn gate_protocol_por_counts_are_pinned() {
-    // The standing gate-protocol scenarios through the facade: the
-    // 3-engine full enumeration pinned to its multinomial (the
-    // exhaustiveness check), and the POR trace counts pinned so a
-    // change in the reduction — or the protocol — is visible.
-    let reports = check_gate_protocol().expect("gate protocol holds");
-    let pins: Vec<(u64, u64, bool)> = reports
-        .iter()
-        .map(|r| (r.unreduced, r.explored, r.por))
-        .collect();
-    assert_eq!(
-        pins,
-        vec![
-            (34_650, 34_650, false),
-            (34_650, 2_083, true),
-            (63_063_000, 763_615, true),
-        ]
-    );
-    // Negative control: the advance-past-gate engine is refuted under
-    // the same reduction, and the counterexample says why.
-    let v = check_broken_gate_protocol().expect("broken gate must be refuted");
-    assert!(
-        v.message.contains("stale read") || v.message.contains("spread"),
-        "{v}"
-    );
+fn late_gate_fails_the_lookahead_pass() {
+    // The lookahead certificate is the only static check of gate
+    // placement: it must reject a stream whose wave-1 gate comes one
+    // stage-0 forward late, and say which gate and where it belongs.
+    let wsp = JUDGED;
+    let (warmup, steady) = lookahead_bound(wsp);
+    assert_eq!(lookahead_bound(BUILT).0, warmup, "fixture keeps the warmup");
+    let max_mb = 32u64;
+    for &schedule in Schedule::ALL.iter() {
+        let late = LateGate(schedule);
+        // The fixture is what it claims: gate(w0) on time, gate(w1)
+        // exactly one forward late.
+        let pts = ps_interaction_points(&committed_queues(
+            &late,
+            K_GPUS,
+            wsp,
+            RecomputePolicy::None,
+            max_mb,
+        ));
+        let positions: Vec<(u64, u64)> = pts
+            .gates
+            .iter()
+            .take(2)
+            .map(|g| (g.wave, g.forwards_before))
+            .collect();
+        assert_eq!(
+            positions,
+            vec![(0, warmup), (1, warmup + steady + 1)],
+            "{}",
+            schedule.name()
+        );
+        for recompute in RecomputePolicy::ALL {
+            verify_lookahead(&schedule, K_GPUS, wsp, recompute, max_mb)
+                .unwrap_or_else(|e| panic!("{e}"));
+            let err = verify_lookahead(&late, K_GPUS, wsp, recompute, max_mb)
+                .expect_err("a late gate must be caught");
+            let certified = warmup + steady;
+            assert!(err.contains("gate(w1)"), "{}: {err}", schedule.name());
+            assert!(
+                err.contains(&format!("closed form says {certified}")),
+                "{}: {err}",
+                schedule.name()
+            );
+            assert!(err.contains("overruns"), "{}: {err}", schedule.name());
+        }
+    }
 }
 
 #[test]
