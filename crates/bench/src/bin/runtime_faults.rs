@@ -19,7 +19,7 @@
 //!   (script, policy) cell, fault edges / signals / splices included
 //!   as instant markers.
 
-use hetpipe_bench::print_table;
+use hetpipe_bench::{positive_flag_or_exit, print_table};
 use hetpipe_cluster::{Cluster, DeviceId, GpuKind};
 use hetpipe_core::exec::{self, ExecParams};
 use hetpipe_core::pserver::{Placement, ShardMap};
@@ -36,11 +36,7 @@ fn arg_value(name: &str) -> Option<String> {
 }
 
 fn main() {
-    let horizon = SimTime::from_secs(
-        arg_value("--horizon")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(40.0),
-    );
+    let horizon = SimTime::from_secs(positive_flag_or_exit("--horizon").unwrap_or(40.0));
     let trace_prefix = arg_value("--trace-out");
 
     // The acceptance configuration: one whimpy 4×RTX 2060 node,

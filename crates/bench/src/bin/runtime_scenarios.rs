@@ -25,7 +25,7 @@
 //! - `--trace-out <prefix>`: write chrome traces for the canonical
 //!   lease cells and the first few chaos seeds.
 
-use hetpipe_bench::print_table;
+use hetpipe_bench::{positive_flag_or_exit, print_table};
 use hetpipe_cluster::{Cluster, DeviceId, GpuKind};
 use hetpipe_core::exec::{self, trace_fingerprint, ExecParams};
 use hetpipe_core::pserver::{Placement, ShardMap};
@@ -42,13 +42,9 @@ fn arg_value(name: &str) -> Option<String> {
 }
 
 fn main() {
-    let horizon_secs: f64 = arg_value("--horizon")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(60.0);
+    let horizon_secs: f64 = positive_flag_or_exit("--horizon").unwrap_or(60.0);
     let horizon = SimTime::from_secs(horizon_secs);
-    let seeds: u64 = arg_value("--seeds")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(32);
+    let seeds: u64 = positive_flag_or_exit("--seeds").unwrap_or(32);
     let trace_prefix = arg_value("--trace-out");
 
     // The acceptance configuration: one whimpy 4×RTX 2060 node,

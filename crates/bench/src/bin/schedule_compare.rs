@@ -35,7 +35,7 @@
 //!   scenario's shape), or `seeded:<n>` (a deterministic random
 //!   script).
 
-use hetpipe_bench::{maybe_write_json, print_table};
+use hetpipe_bench::{maybe_write_json, positive_flag_or_exit, print_table};
 use hetpipe_cluster::{Cluster, GpuKind};
 use hetpipe_core::WspParams;
 use hetpipe_core::{
@@ -128,11 +128,7 @@ fn load_script(spec: &str, horizon_secs: f64) -> ScenarioScript {
 }
 
 fn main() {
-    let horizon = SimTime::from_secs(
-        arg_value("--horizon")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(60.0),
-    );
+    let horizon = SimTime::from_secs(positive_flag_or_exit("--horizon").unwrap_or(60.0));
     let trace_prefix = arg_value("--trace-out");
     let script = arg_value("--faults").map(|spec| load_script(&spec, horizon.as_secs()));
 

@@ -47,6 +47,7 @@
 //! on which zoo model's layers fill the stages — one proof per shape
 //! covers every model.
 
+use hetpipe_bench::positive_flag_or_exit;
 use hetpipe_des::check_bounds;
 use hetpipe_runtime::{FaultScript, ScenarioScript};
 use hetpipe_schedule::{PipelineSchedule, RecomputePolicy, Schedule, WspParams};
@@ -86,7 +87,8 @@ fn main() {
         match arg.as_str() {
             "--report" => report_path = args.next(),
             "--budget-secs" => {
-                budget_secs = args.next().and_then(|v| v.parse().ok());
+                args.next();
+                budget_secs = positive_flag_or_exit("--budget-secs");
             }
             other => {
                 eprintln!("verify_all: unknown flag {other}");

@@ -41,6 +41,87 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
+/// A number type a command-line flag may take: it parses from text
+/// and knows which of its values are positive.
+pub trait PositiveNumber: std::str::FromStr + Copy {
+    /// True for a finite value greater than zero.
+    fn is_positive(self) -> bool;
+}
+
+impl PositiveNumber for f64 {
+    fn is_positive(self) -> bool {
+        self.is_finite() && self > 0.0
+    }
+}
+
+impl PositiveNumber for u64 {
+    fn is_positive(self) -> bool {
+        self > 0
+    }
+}
+
+/// A numeric command-line flag with no value or a value that is not a
+/// positive number.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FlagError {
+    /// The flag was the last argument.
+    Missing {
+        /// The flag, e.g. `--horizon`.
+        flag: String,
+    },
+    /// The value is unparsable, NaN, infinite, negative or zero.
+    NotPositive {
+        /// The flag, e.g. `--horizon`.
+        flag: String,
+        /// The value as given.
+        value: String,
+    },
+}
+
+impl std::fmt::Display for FlagError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FlagError::Missing { flag } => write!(f, "{flag} needs a value"),
+            FlagError::NotPositive { flag, value } => {
+                write!(f, "{flag} needs a positive number, got {value:?}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for FlagError {}
+
+/// The positive number following `flag` in `args`; `Ok(None)` when
+/// the flag is absent.
+pub fn positive_flag<T: PositiveNumber>(
+    args: &[String],
+    flag: &str,
+) -> Result<Option<T>, FlagError> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    let Some(value) = args.get(i + 1) else {
+        return Err(FlagError::Missing { flag: flag.into() });
+    };
+    match value.parse::<T>() {
+        Ok(v) if v.is_positive() => Ok(Some(v)),
+        _ => Err(FlagError::NotPositive {
+            flag: flag.into(),
+            value: value.clone(),
+        }),
+    }
+}
+
+/// [`positive_flag`] over this process's arguments. On a malformed
+/// value it prints the error and exits with status 2.
+pub fn positive_flag_or_exit<T: PositiveNumber>(flag: &str) -> Option<T> {
+    let args: Vec<String> = std::env::args().collect();
+    positive_flag(&args, flag).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
+}
+
 /// Writes a JSON value to the path given after a `--json` CLI flag, if
 /// present.
 pub fn maybe_write_json(value: &serde_json::Value) {
@@ -136,6 +217,42 @@ pub fn fmt_ips(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn positive_flag_parses_or_names_the_bad_value() {
+        let ok = args(&["bin", "--horizon", "20", "--seeds", "4"]);
+        assert_eq!(positive_flag::<f64>(&ok, "--horizon"), Ok(Some(20.0)));
+        assert_eq!(positive_flag::<u64>(&ok, "--seeds"), Ok(Some(4)));
+        assert_eq!(positive_flag::<f64>(&ok, "--budget-secs"), Ok(None));
+        for bad in ["garbage", "NaN", "inf", "-3", "0", "0.0", ""] {
+            let err = positive_flag::<f64>(&args(&["bin", "--horizon", bad]), "--horizon");
+            assert_eq!(
+                err,
+                Err(FlagError::NotPositive {
+                    flag: "--horizon".into(),
+                    value: bad.into()
+                })
+            );
+        }
+        for bad in ["-1", "0", "2.5", "x"] {
+            let err = positive_flag::<u64>(&args(&["bin", "--seeds", bad]), "--seeds");
+            assert!(matches!(err, Err(FlagError::NotPositive { .. })), "{bad}");
+        }
+        let missing = positive_flag::<f64>(&args(&["bin", "--horizon"]), "--horizon");
+        assert_eq!(missing.unwrap_err().to_string(), "--horizon needs a value");
+        let shown = FlagError::NotPositive {
+            flag: "--horizon".into(),
+            value: "abc".into(),
+        };
+        assert_eq!(
+            shown.to_string(),
+            "--horizon needs a positive number, got \"abc\""
+        );
+    }
 
     #[test]
     fn fig3_configs_match_labels() {

@@ -18,7 +18,6 @@ use crate::exec::{RunStats, SpanTag};
 use crate::vw::VirtualWorker;
 use hetpipe_des::SimTime;
 use hetpipe_schedule::{PipelineSchedule, Schedule};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// One stage's measured-vs-declared occupancy.
@@ -110,59 +109,82 @@ impl OccupancyAudit {
     ) -> OccupancyAudit {
         let fused = schedule.fused_last_stage();
         let colocated = schedule.colocated_stages();
-        // Key stages by (vw, stage) and GPUs by (vw, physical gpu).
-        let stage_events = |tag: &SpanTag, end: SimTime| -> Vec<((usize, usize), SimTime, i64)> {
+        // The occupancy deltas one span contributes, all at its end,
+        // keyed by (vw, stage).
+        let deltas = |tag: &SpanTag| -> Option<(usize, usize, &'static [i64])> {
             match *tag {
-                SpanTag::Forward { vw, stage, .. } => {
-                    vec![((vw as usize, stage as usize), end, 1)]
-                }
+                SpanTag::Forward { vw, stage, .. } => Some((vw as usize, stage as usize, &[1])),
                 SpanTag::Backward { vw, stage, .. } => {
                     let (vw, stage) = (vw as usize, stage as usize);
-                    let mut evs = vec![((vw, stage), end, -1)];
-                    if fused && stage + 1 == vws[vw].stages() {
-                        // The fused task is its own forward.
-                        evs.push(((vw, stage), end, 1));
-                    }
-                    evs
+                    // The fused task is its own forward.
+                    let own_forward = fused && stage + 1 == vws[vw].stages();
+                    Some((vw, stage, if own_forward { &[-1, 1] } else { &[-1] }))
                 }
-                _ => Vec::new(),
+                _ => None,
             }
         };
-        // One pass over the trace builds both keyings (per stage and
-        // per physical GPU) — the trace is the run's largest artifact,
-        // so it is scanned once, not once per keying.
-        let mut stage_evs: BTreeMap<(usize, usize), Vec<(SimTime, i64)>> = BTreeMap::new();
-        let mut gpu_evs: BTreeMap<(usize, usize), Vec<(SimTime, i64)>> = BTreeMap::new();
+        // Dense slots: (vw, stage) is slot `stage_base[vw] + stage`,
+        // (vw, physical gpu) is slot `gpu_base[vw] + gpu`.
+        let mut stage_base = Vec::with_capacity(vws.len());
+        let mut gpu_base = Vec::with_capacity(vws.len());
+        let (mut stage_slots, mut gpu_slots) = (0, 0);
+        for vw in vws {
+            stage_base.push(stage_slots);
+            gpu_base.push(gpu_slots);
+            stage_slots += vw.stages();
+            gpu_slots += vw.stages() / colocated;
+        }
+        let slots_of = |vw: usize, stage: usize| -> (usize, usize) {
+            let gpus = vws[vw].stages() / colocated;
+            (stage_base[vw] + stage, gpu_base[vw] + stage % gpus)
+        };
+        // Two passes over the trace: count each slot's events, then
+        // place them at prefix offsets into one flat buffer per keying.
+        let mut stage_start = vec![0usize; stage_slots + 1];
+        let mut gpu_start = vec![0usize; gpu_slots + 1];
         for span in stats.trace.spans() {
-            for ((vw, stage), at, delta) in stage_events(&span.tag, span.end) {
-                let gpus = vws[vw].stages() / colocated;
-                stage_evs.entry((vw, stage)).or_default().push((at, delta));
-                gpu_evs
-                    .entry((vw, stage % gpus))
-                    .or_default()
-                    .push((at, delta));
+            if let Some((vw, stage, ds)) = deltas(&span.tag) {
+                let (ss, gs) = slots_of(vw, stage);
+                stage_start[ss + 1] += ds.len();
+                gpu_start[gs + 1] += ds.len();
             }
         }
-        let stage_peaks: BTreeMap<(usize, usize), i64> = stage_evs
-            .into_iter()
-            .map(|(key, evs)| (key, hetpipe_des::peak_of_events(evs)))
-            .collect();
-        let gpu_peaks: BTreeMap<(usize, usize), i64> = gpu_evs
-            .into_iter()
-            .map(|(key, evs)| (key, hetpipe_des::peak_of_events(evs)))
-            .collect();
+        for i in 1..stage_start.len() {
+            stage_start[i] += stage_start[i - 1];
+        }
+        for i in 1..gpu_start.len() {
+            gpu_start[i] += gpu_start[i - 1];
+        }
+        let total = stage_start[stage_slots];
+        let mut stage_evs = vec![(SimTime::ZERO, 0i64); total];
+        let mut gpu_evs = vec![(SimTime::ZERO, 0i64); total];
+        let mut stage_fill = stage_start[..stage_slots].to_vec();
+        let mut gpu_fill = gpu_start[..gpu_slots].to_vec();
+        for span in stats.trace.spans() {
+            if let Some((vw, stage, ds)) = deltas(&span.tag) {
+                let (ss, gs) = slots_of(vw, stage);
+                for &d in ds {
+                    stage_evs[stage_fill[ss]] = (span.end, d);
+                    stage_fill[ss] += 1;
+                    gpu_evs[gpu_fill[gs]] = (span.end, d);
+                    gpu_fill[gs] += 1;
+                }
+            }
+        }
+        let peak = |evs: &mut [(SimTime, i64)], start: &[usize], slot: usize| {
+            hetpipe_des::peak_of_events(&mut evs[start[slot]..start[slot + 1]])
+        };
 
-        let mut stages = Vec::new();
-        let mut gpus = Vec::new();
+        let mut stages = Vec::with_capacity(stage_slots);
+        let mut gpus = Vec::with_capacity(gpu_slots);
         for (vwi, vw) in vws.iter().enumerate() {
             let k = vw.stages();
             let physical = k / colocated;
             for stage in 0..k {
-                let measured = stage_peaks.get(&(vwi, stage)).copied().unwrap_or(0);
                 stages.push(StageOccupancy {
                     vw: vwi,
                     stage,
-                    measured,
+                    measured: peak(&mut stage_evs, &stage_start, stage_base[vwi] + stage),
                     declared: schedule.max_in_flight(stage, k, nm) as i64,
                 });
             }
@@ -174,7 +196,7 @@ impl OccupancyAudit {
                 gpus.push(GpuOccupancy {
                     vw: vwi,
                     gpu,
-                    measured: gpu_peaks.get(&(vwi, gpu)).copied().unwrap_or(0),
+                    measured: peak(&mut gpu_evs, &gpu_start, gpu_base[vwi] + gpu),
                     declared,
                 });
             }

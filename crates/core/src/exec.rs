@@ -408,7 +408,8 @@ struct Exec<'a> {
     /// Per-VW per-stage forward/backward compute times.
     fwd: Vec<Vec<SimTime>>,
     bwd: Vec<Vec<SimTime>>,
-    /// Per-VW sync chunk lists (same for every wave).
+    /// Per-VW sync chunk lists (same for every wave; empty when the
+    /// run models no sync transfers).
     chunks: Vec<Vec<SyncChunk>>,
     /// Per-VW per-stage stream cursors (stream-order dispatch only).
     cursors: Vec<Vec<StageCursor>>,
@@ -418,6 +419,10 @@ struct Exec<'a> {
     /// Per-VW per-stage activation windows (arrival-FIFO dispatch
     /// gates on these; both paths debug-assert against them).
     windows: Vec<Vec<StageWindow>>,
+    /// The slowest VW's clock, and how many VWs sit at it: a pull for
+    /// wave `t` is servable once `min_clock > t`.
+    min_clock: u64,
+    at_min_clock: usize,
     dispatch: Dispatch,
     opts: SegmentOpts,
     horizon: SimTime,
@@ -462,7 +467,11 @@ impl<'a> Exec<'a> {
             }
             fwd.push(f);
             bwd.push(b);
-            chunks.push(p.shards.chunks_for(p.graph, cluster, vw));
+            chunks.push(if p.sync_transfers {
+                p.shards.chunks_for(p.graph, cluster, vw)
+            } else {
+                Vec::new()
+            });
         }
 
         let states = (0..p.vws.len())
@@ -561,6 +570,7 @@ impl<'a> Exec<'a> {
             })
             .collect();
 
+        let vw_count = p.vws.len();
         Exec {
             p,
             engine: Engine::new(),
@@ -575,6 +585,8 @@ impl<'a> Exec<'a> {
             cursors,
             gpu_cursors,
             windows,
+            min_clock: 0,
+            at_min_clock: vw_count,
             dispatch,
             opts,
             horizon,
@@ -596,10 +608,6 @@ impl<'a> Exec<'a> {
     fn in_flight(&self, vw: usize) -> u64 {
         let s = &self.states[vw];
         s.next_mb - 1 - s.completed
-    }
-
-    fn min_clock(&self) -> u64 {
-        self.states.iter().map(|s| s.clock).min().unwrap_or(0)
     }
 
     /// The pool resource a fault target maps to.
@@ -1536,20 +1544,15 @@ impl<'a> Exec<'a> {
         // frozen seed executor in `crate::golden` keeps a single
         // unguarded counter; none of the golden-tested configurations
         // overlap pushes, so trace equality is unaffected.)
-        let chunk_list = if self.p.sync_transfers {
-            self.chunks[vw].clone()
-        } else {
-            Vec::new()
-        };
-        if chunk_list.is_empty() {
+        let chunk_count = self.chunks[vw].len();
+        if chunk_count == 0 {
             self.push_completed(vw, wave);
             return;
         }
-        let prev = self.states[vw]
-            .push_remaining
-            .insert(wave, chunk_list.len());
+        let prev = self.states[vw].push_remaining.insert(wave, chunk_count);
         debug_assert!(prev.is_none(), "wave {wave} pushed twice");
-        for ch in chunk_list {
+        for i in 0..chunk_count {
+            let ch = self.chunks[vw][i];
             self.account_sync(ch.gpu_node, ch.shard_node, ch.bytes);
             let arrive = self.transfer(
                 ch.gpu_node,
@@ -1586,6 +1589,7 @@ impl<'a> Exec<'a> {
 
     fn push_completed(&mut self, vw: usize, wave: u64) {
         let now = self.engine.now();
+        let old_clock = self.states[vw].clock;
         {
             let st = &mut self.states[vw];
             // Concurrent waves can complete out of order (their chunks
@@ -1593,6 +1597,26 @@ impl<'a> Exec<'a> {
             st.clock = st.clock.max(wave + 1);
             st.stats.waves_pushed = st.clock;
         }
+        // Clocks only rise, so the minimum moves only when its last
+        // holder advances: one O(V) rescan per rise of the minimum.
+        let mut min_rose = false;
+        if old_clock == self.min_clock && self.states[vw].clock > old_clock {
+            self.at_min_clock -= 1;
+            if self.at_min_clock == 0 {
+                self.min_clock = self.states.iter().map(|s| s.clock).min().unwrap_or(0);
+                self.at_min_clock = self
+                    .states
+                    .iter()
+                    .filter(|s| s.clock == self.min_clock)
+                    .count();
+                min_rose = true;
+            }
+        }
+        debug_assert_eq!(
+            self.min_clock,
+            self.states.iter().map(|s| s.clock).min().unwrap_or(0),
+            "cached minimum clock drifted from a full scan"
+        );
         // Request this VW's own pull (Section 5: at the end of clock c,
         // pull weights that cover wave c − D).
         if let Some(target) = self.p.wsp.pull_target_after_push(wave) {
@@ -1602,9 +1626,18 @@ impl<'a> Exec<'a> {
                 None => st.pull_request = Some((target, now)),
             }
         }
-        // A new push may unblock any VW's pending pull.
-        for v in 0..self.states.len() {
-            self.try_serve_pull(v);
+        // A risen minimum may unblock any VW's pending pull; serve in
+        // ascending VW order (the order their transfers queue on the
+        // NICs). Otherwise only the pusher's own, possibly new,
+        // request can have become servable: every other pending
+        // request was tried against this minimum when it was last
+        // made or when its VW's pull transfer finished.
+        if min_rose {
+            for v in 0..self.states.len() {
+                self.try_serve_pull(v);
+            }
+        } else {
+            self.try_serve_pull(vw);
         }
     }
 
@@ -1615,7 +1648,7 @@ impl<'a> Exec<'a> {
         let Some((target, since)) = self.states[vw].pull_request else {
             return;
         };
-        let min_clock = self.min_clock();
+        let min_clock = self.min_clock;
         if min_clock < target + 1 {
             return; // Straggler has not pushed wave `target` yet.
         }
@@ -1627,20 +1660,17 @@ impl<'a> Exec<'a> {
             st.pull_request = None;
             st.pull_serving_version = min_clock as i64 - 1;
         }
-        let chunk_list = if self.p.sync_transfers {
-            self.chunks[vw].clone()
-        } else {
-            Vec::new()
-        };
-        if chunk_list.is_empty() {
+        let chunk_count = self.chunks[vw].len();
+        if chunk_count == 0 {
             let st = &mut self.states[vw];
             st.pulled = st.pulled.max(st.pull_serving_version);
             self.engine
                 .schedule_in(SimTime::ZERO, Ev::TryInject { vw: vw as u32 });
             return;
         }
-        self.states[vw].pull_remaining = chunk_list.len();
-        for ch in chunk_list {
+        self.states[vw].pull_remaining = chunk_count;
+        for i in 0..chunk_count {
+            let ch = self.chunks[vw][i];
             // Pull direction: shard -> GPU.
             self.account_sync(ch.shard_node, ch.gpu_node, ch.bytes);
             let wave = self.states[vw].pull_serving_version.max(0) as u64;

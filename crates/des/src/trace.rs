@@ -8,7 +8,6 @@
 
 use crate::resource::ResourceId;
 use crate::time::SimTime;
-use std::collections::BTreeMap;
 use std::io::{self, Write};
 use std::path::Path;
 
@@ -105,19 +104,32 @@ impl<T> Trace<T> {
     /// contents, for repeated windowed occupancy queries without
     /// rescanning the full trace per call.
     pub fn index(&self) -> TraceIndex {
-        let mut per_resource: BTreeMap<ResourceId, IndexedSpans> = BTreeMap::new();
+        // A counting pass sizes each resource's list exactly.
+        let mut counts: Vec<usize> = Vec::new();
         for s in &self.spans {
-            per_resource
-                .entry(s.resource)
-                .or_default()
-                .spans
-                .push((s.start, s.end));
+            let r = s.resource.0;
+            if r >= counts.len() {
+                counts.resize(r + 1, 0);
+            }
+            counts[r] += 1;
         }
-        for idx in per_resource.values_mut() {
+        let mut per_resource: Vec<IndexedSpans> = counts
+            .iter()
+            .map(|&n| IndexedSpans {
+                spans: Vec::with_capacity(n),
+                cummax_end: Vec::new(),
+            })
+            .collect();
+        for s in &self.spans {
+            per_resource[s.resource.0].spans.push((s.start, s.end));
+        }
+        for idx in &mut per_resource {
             // Executors record each resource's FIFO timeline in start
             // order already; sort defensively so the binary searches
             // below never depend on that.
-            idx.spans.sort();
+            if !idx.spans.is_sorted() {
+                idx.spans.sort();
+            }
             let mut cummax = SimTime::ZERO;
             idx.cummax_end = idx
                 .spans
@@ -155,34 +167,6 @@ impl<T> Trace<T> {
     /// Counts spans whose tag satisfies `pred`.
     pub fn count_where(&self, mut pred: impl FnMut(&T) -> bool) -> usize {
         self.spans.iter().filter(|s| pred(&s.tag)).count()
-    }
-
-    /// Trace-measured peak concurrency: `events` maps each span to any
-    /// number of `(key, instant, delta)` occupancy events (e.g. +1
-    /// when a forward pass completes and its activations materialize,
-    /// −1 when the matching backward completes and releases them);
-    /// returns, per key, the maximum running sum ever reached.
-    ///
-    /// Events at the same instant are applied releases-first
-    /// (ascending `delta`), so a handoff at an instant does not count
-    /// as overlap. This is the measurement half of the
-    /// measured ≤ declared memory invariant: executors *declare* peak
-    /// activation occupancy through their schedule's accounting, and
-    /// this computes what a run actually did.
-    pub fn peak_concurrent<K: Ord>(
-        &self,
-        mut events: impl FnMut(&Span<T>) -> Vec<(K, SimTime, i64)>,
-    ) -> BTreeMap<K, i64> {
-        let mut per_key: BTreeMap<K, Vec<(SimTime, i64)>> = BTreeMap::new();
-        for span in &self.spans {
-            for (key, at, delta) in events(span) {
-                per_key.entry(key).or_default().push((at, delta));
-            }
-        }
-        per_key
-            .into_iter()
-            .map(|(key, evs)| (key, peak_of_events(evs)))
-            .collect()
     }
 
     /// Writes the trace in the `chrome://tracing` / Perfetto JSON
@@ -290,21 +274,22 @@ impl<T> Trace<T> {
     }
 }
 
-/// The peak running sum of `(instant, delta)` occupancy events.
+/// The peak running sum of `(instant, delta)` occupancy events (e.g.
+/// +1 when a forward pass completes and its activations materialize,
+/// −1 when the matching backward completes and releases them).
 /// Same-instant events apply releases-first (ascending `delta`), so a
 /// handoff at an instant does not count as overlap. This is the single
-/// definition of a "measured peak": [`Trace::peak_concurrent`] folds
-/// every key through it, and external one-pass aggregations (e.g. the
-/// occupancy audit's dual keying) must use it too so measured values
-/// can never drift from the trace's own semantics.
-pub fn peak_of_events(mut events: Vec<(SimTime, i64)>) -> i64 {
+/// definition of a "measured peak": every trace aggregation (e.g. the
+/// occupancy audit's per-stage and per-GPU keying) folds its events
+/// through it, so measured values can never drift apart.
+pub fn peak_of_events(events: &mut [(SimTime, i64)]) -> i64 {
     // Unstable sort: equal `(instant, delta)` tuples are
     // interchangeable under the running sum, and skipping the stable
     // merge buffer matters at trace scale (two entries per span).
     events.sort_unstable();
     let mut live = 0i64;
     let mut peak = 0i64;
-    for (_, delta) in events {
+    for &(_, delta) in events.iter() {
         live += delta;
         peak = peak.max(live);
     }
@@ -321,14 +306,16 @@ pub fn peak_of_events(mut events: Vec<(SimTime, i64)>) -> i64 {
 /// to the index.
 #[derive(Debug, Clone)]
 pub struct TraceIndex {
-    per_resource: BTreeMap<ResourceId, IndexedSpans>,
+    /// Indexed by [`ResourceId`]`.0`; resources past the end, or with
+    /// an empty list, recorded no span.
+    per_resource: Vec<IndexedSpans>,
 }
 
 /// One resource's spans sorted by start, with the running maximum of
 /// span ends alongside — `cummax_end` is nondecreasing, so "the first
 /// span that can overlap a window starting at `from`" is a binary
 /// search even when spans overlap each other.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct IndexedSpans {
     /// `(start, end)` pairs sorted by start.
     spans: Vec<(SimTime, SimTime)>,
@@ -341,7 +328,7 @@ impl TraceIndex {
     /// spans that straddle the window edges. Identical semantics to
     /// [`Trace::busy_within`].
     pub fn busy_within(&self, resource: ResourceId, from: SimTime, to: SimTime) -> SimTime {
-        let Some(idx) = self.per_resource.get(&resource) else {
+        let Some(idx) = self.per_resource.get(resource.0) else {
             return SimTime::ZERO;
         };
         // Every span before `first` ends at or before `from` (the
@@ -491,6 +478,33 @@ mod tests {
         assert!(s.contains("\"cat\":\"epoch\"") && s.contains("\"ts\":5"));
     }
 
+    /// Asserts that `idx` answers every `[from, to)` window over
+    /// `instants` on each of `resources` bit for bit like the scans.
+    fn assert_index_matches(
+        tr: &Trace<Tag>,
+        idx: &TraceIndex,
+        resources: &[ResourceId],
+        instants: &[u64],
+    ) {
+        for &r in resources {
+            for &from in instants {
+                for &to in instants {
+                    let (from, to) = (SimTime::from_nanos(from), SimTime::from_nanos(to));
+                    assert_eq!(
+                        idx.busy_within(r, from, to),
+                        tr.busy_within(r, from, to),
+                        "res {r:?} window {from}..{to}"
+                    );
+                    assert_eq!(
+                        idx.utilization_within(r, from, to).to_bits(),
+                        tr.utilization_within(r, from, to).to_bits(),
+                        "res {r:?} window {from}..{to}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn index_matches_full_scan_queries() {
         // Overlapping spans, out-of-order recording, multiple
@@ -511,45 +525,78 @@ mod tests {
             SimTime::from_nanos(60),
             Tag::Bwd,
         );
-        let idx = tr.index();
-        for r in [a, b, ResourceId(3)] {
-            for from in [0u64, 5, 9, 30, 95] {
-                for to in [0u64, 7, 25, 60, 100] {
-                    let (from, to) = (SimTime::from_nanos(from), SimTime::from_nanos(to));
-                    assert_eq!(
-                        idx.busy_within(r, from, to),
-                        tr.busy_within(r, from, to),
-                        "res {r:?} window {from}..{to}"
-                    );
-                    assert_eq!(
-                        idx.utilization_within(r, from, to).to_bits(),
-                        tr.utilization_within(r, from, to).to_bits(),
-                        "res {r:?} window {from}..{to}"
-                    );
-                }
+        assert_index_matches(
+            &tr,
+            &tr.index(),
+            &[a, b, ResourceId(3)],
+            &[0, 5, 7, 8, 9, 25, 30, 60, 95, 100],
+        );
+    }
+
+    #[test]
+    fn index_matches_full_scan_queries_on_random_traces() {
+        // A seeded batch of traces over sparse resource ids: resources
+        // between and past them record nothing, spans overlap, arrive
+        // out of order (or, in every other trace, sorted by start, as
+        // a FIFO executor records them) and may have zero length.
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let ids = [0, 7, 300];
+        let queried: Vec<ResourceId> = [0, 1, 7, 8, 299, 300, 301, 1000]
+            .into_iter()
+            .map(ResourceId)
+            .collect();
+        for case in 0..64 {
+            let mut spans: Vec<(usize, u64, u64)> = (0..next(24))
+                .map(|_| {
+                    let start = next(200);
+                    let len = if next(4) == 0 { 0 } else { next(60) };
+                    (ids[next(3) as usize], start, start + len)
+                })
+                .collect();
+            if case % 2 == 1 {
+                spans.sort_by_key(|&(_, start, _)| start);
             }
+            let mut tr = Trace::new();
+            for &(r, start, end) in &spans {
+                let (start, end) = (SimTime::from_nanos(start), SimTime::from_nanos(end));
+                tr.record(ResourceId(r), start, end, Tag::Fwd);
+            }
+            // Every span edge, the extremes and a few seeded instants
+            // (inside spans or between them).
+            let mut instants: Vec<u64> = vec![0, 1, 259, 300];
+            for &(_, start, end) in &spans {
+                instants.extend([start, end]);
+            }
+            instants.extend((0..6).map(|_| next(270)));
+            instants.sort_unstable();
+            instants.dedup();
+            assert_index_matches(&tr, &tr.index(), &queried, &instants);
         }
     }
 
     #[test]
-    fn peak_concurrent_counts_overlap_and_handoffs() {
-        let mut tr = Trace::new();
-        let r = ResourceId(0);
-        // Three "holders" keyed by resource: +1 at start, -1 at end.
-        tr.record(r, SimTime::from_nanos(0), SimTime::from_nanos(10), Tag::Fwd);
-        tr.record(r, SimTime::from_nanos(5), SimTime::from_nanos(15), Tag::Fwd);
-        // A handoff: starts exactly when the second ends.
-        tr.record(
-            r,
-            SimTime::from_nanos(15),
-            SimTime::from_nanos(20),
-            Tag::Fwd,
-        );
-        let peaks = tr.peak_concurrent(|s| vec![(s.resource, s.start, 1), (s.resource, s.end, -1)]);
-        // Spans 1 and 2 overlap (peak 2); the handoff does not add.
-        assert_eq!(peaks.get(&r), Some(&2));
-        // A key with no events is absent.
-        assert!(!peaks.contains_key(&ResourceId(9)));
+    fn peak_of_events_counts_overlap_and_handoffs() {
+        let t = SimTime::from_nanos;
+        // Three holders, +1 at start and −1 at end: [0, 10), [5, 15)
+        // and a handoff [15, 20) starting exactly when the second
+        // ends. Recorded out of order.
+        let mut events = vec![
+            (t(15), 1),
+            (t(20), -1),
+            (t(0), 1),
+            (t(10), -1),
+            (t(15), -1),
+            (t(5), 1),
+        ];
+        // The first two overlap (peak 2); the handoff does not add.
+        assert_eq!(peak_of_events(&mut events), 2);
+        assert_eq!(peak_of_events(&mut []), 0);
     }
 
     #[test]

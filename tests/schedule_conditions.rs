@@ -20,7 +20,7 @@ use hetpipe::core::{
 };
 use hetpipe::des::SimTime;
 use hetpipe::schedule::PipelineSchedule;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 const NM: usize = 4;
 
@@ -35,10 +35,21 @@ fn single_vw_run(
     schedule: Schedule,
     recompute: RecomputePolicy,
 ) -> (RunStats, usize, Vec<VirtualWorker>) {
+    let (stats, vws) = run_groups(schedule, recompute, vec![(0..4).map(DeviceId).collect()]);
+    (stats, schedule.virtual_stages(4), vws)
+}
+
+/// One VW per group of 4 paper-testbed GPUs, VGG-19 at `NM`, no sync
+/// transfers, a 10 s horizon.
+fn run_groups(
+    schedule: Schedule,
+    recompute: RecomputePolicy,
+    groups: Vec<Vec<DeviceId>>,
+) -> (RunStats, Vec<VirtualWorker>) {
     let cluster = Cluster::paper_testbed();
     let graph = hetpipe::model::vgg19(32);
     let config = SystemConfig {
-        policy: AllocationPolicy::Custom(vec![(0..4).map(DeviceId).collect()]),
+        policy: AllocationPolicy::Custom(groups),
         placement: Placement::Default,
         staleness_bound: 0,
         nm_override: Some(NM),
@@ -49,11 +60,12 @@ fn single_vw_run(
         ..SystemConfig::default()
     };
     let sys = HetPipeSystem::build(&cluster, &graph, &config).expect("builds");
-    let stages = schedule.virtual_stages(4);
-    assert_eq!(sys.virtual_workers()[0].stages(), stages);
+    for vw in sys.virtual_workers() {
+        assert_eq!(vw.stages(), schedule.virtual_stages(4));
+    }
     let vws = sys.virtual_workers().to_vec();
     let (_, stats) = sys.run_with_stats(SimTime::from_secs(10.0));
-    (stats, stages, vws)
+    (stats, vws)
 }
 
 fn single_vw_stats(schedule: Schedule) -> (RunStats, usize) {
@@ -228,6 +240,92 @@ fn per_stage_occupancy_matches_declared_memory_accounting() {
                 "{schedule}: stage 0 never overlapped minibatches"
             );
             assert!(!audit.gpus.is_empty(), "{schedule}");
+        }
+    }
+}
+
+/// Measured peaks keyed by `(vw, stage)` or `(vw, physical gpu)`.
+type Peaks = BTreeMap<(usize, usize), i64>;
+
+/// The audit's peaks computed the straightforward way: every span's
+/// occupancy events keyed through a `BTreeMap` by `(vw, stage)` and by
+/// `(vw, physical gpu)`, each key's events folded by `peak_of_events`.
+fn reference_peaks(stats: &RunStats, vws: &[VirtualWorker], schedule: Schedule) -> (Peaks, Peaks) {
+    let mut stage_evs: BTreeMap<(usize, usize), Vec<(SimTime, i64)>> = BTreeMap::new();
+    let mut gpu_evs: BTreeMap<(usize, usize), Vec<(SimTime, i64)>> = BTreeMap::new();
+    for span in stats.trace.spans() {
+        let (vw, stage, deltas) = match span.tag {
+            SpanTag::Forward { vw, stage, .. } => (vw as usize, stage as usize, vec![1]),
+            SpanTag::Backward { vw, stage, .. } => {
+                let (vw, stage) = (vw as usize, stage as usize);
+                if schedule.fused_last_stage() && stage + 1 == vws[vw].stages() {
+                    (vw, stage, vec![-1, 1])
+                } else {
+                    (vw, stage, vec![-1])
+                }
+            }
+            _ => continue,
+        };
+        let gpus = vws[vw].stages() / schedule.colocated_stages();
+        for d in deltas {
+            stage_evs
+                .entry((vw, stage))
+                .or_default()
+                .push((span.end, d));
+            gpu_evs
+                .entry((vw, stage % gpus))
+                .or_default()
+                .push((span.end, d));
+        }
+    }
+    let fold = |evs: BTreeMap<(usize, usize), Vec<(SimTime, i64)>>| {
+        evs.into_iter()
+            .map(|(key, mut evs)| (key, hetpipe::des::peak_of_events(&mut evs)))
+            .collect()
+    };
+    (fold(stage_evs), fold(gpu_evs))
+}
+
+#[test]
+fn occupancy_audit_matches_a_keyed_reference() {
+    // Two VWs (a TITAN V node and a TITAN RTX node), so the audit's
+    // per-VW slot offsets are exercised, for every schedule (fused
+    // last stage, interleaved co-location) × recompute policy.
+    let groups: Vec<Vec<DeviceId>> = vec![
+        (0..4).map(DeviceId).collect(),
+        (4..8).map(DeviceId).collect(),
+    ];
+    for schedule in all_schedules() {
+        for recompute in RecomputePolicy::ALL {
+            let label = format!("{schedule} (recompute {recompute})");
+            let (stats, vws) = run_groups(schedule, recompute, groups.clone());
+            let audit = OccupancyAudit::measure(&stats, &vws, &schedule, NM);
+            let (stage_peaks, gpu_peaks) = reference_peaks(&stats, &vws, schedule);
+            let mut stage_keys = Vec::new();
+            for s in &audit.stages {
+                let want = stage_peaks.get(&(s.vw, s.stage)).copied().unwrap_or(0);
+                assert_eq!(s.measured, want, "{label}: {s}");
+                stage_keys.push((s.vw, s.stage));
+            }
+            let mut gpu_keys = Vec::new();
+            for g in &audit.gpus {
+                let want = gpu_peaks.get(&(g.vw, g.gpu)).copied().unwrap_or(0);
+                assert_eq!(g.measured, want, "{label}: {g}");
+                gpu_keys.push((g.vw, g.gpu));
+            }
+            // Every keyed entity is reported, and work was measured on
+            // both VWs.
+            assert!(
+                stage_peaks.keys().all(|k| stage_keys.contains(k)),
+                "{label}"
+            );
+            assert!(gpu_peaks.keys().all(|k| gpu_keys.contains(k)), "{label}");
+            for vw in 0..2 {
+                assert!(
+                    audit.stages.iter().any(|s| s.vw == vw && s.measured >= 2),
+                    "{label}: vw{vw} never overlapped minibatches"
+                );
+            }
         }
     }
 }
